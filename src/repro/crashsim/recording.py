@@ -1,12 +1,22 @@
-"""Write-journal wrapper around the simulated disk.
+"""The write journal: every member's sector writes plus the barriers.
 
-A :class:`RecordingDisk` sits between an LD implementation and its
-:class:`~repro.disk.disk.SimulatedDisk`, passing every request through
-unchanged while journalling the write stream and the barriers that
-partition it into *epochs*. The journal is what the crash-state
-enumerator replays: any crash state of the device is some prefix of the
-epochs, plus a subset (possibly torn) of the writes in the first
-unfinished epoch.
+A :class:`RecordingDisk` journals what an LD's writes did to the medium,
+one journal per *member*: a bare :class:`~repro.disk.disk.SimulatedDisk`
+is a one-member journal, and a :class:`~repro.volume.Volume` has each
+member wrapped in place, so the volume's own dispatch path records every
+member write unchanged. Every request passes through untouched, so an LD
+running over a recording behaves (and costs) exactly as it would without
+one.
+
+Barriers partition the journal into *epochs*. An epoch closes when a
+barrier reaches any member after some member was written; the barrier is
+recorded with the **vector** of per-member journal positions at that
+point. A volume forwards one barrier to each member in turn, and the
+writes it dispatched all land before the first of them, so the first
+closes the epoch and the rest find it empty — the same rule that keeps a
+one-member journal from recording empty epochs. The number of closed
+epochs is the crash explorer's clock: acknowledgements are stamped with
+it, and every crash state says how many epochs it applies in full.
 
 The crash model matches what commodity disks guarantee:
 
@@ -22,14 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.disk.disk import SimulatedDisk
+from repro.sim.clock import VirtualClock
+from repro.volume import Volume
 
 
 @dataclass(frozen=True)
 class WriteEvent:
     """One journalled sector write.
 
-    ``seq`` is the write's index in the journal (0-based, dense), the
-    coordinate system the enumerator and the durability oracle share.
+    ``seq`` is the write's index in its member's journal (0-based, dense),
+    the coordinate crash plans use; ``epoch`` is the global epoch it was
+    issued in.
     """
 
     seq: int
@@ -52,99 +65,172 @@ class WriteEvent:
 class BarrierEvent:
     """A barrier, recorded with the epoch it closed.
 
-    ``position`` is the number of writes journalled before the barrier;
+    ``positions`` holds each member's journal length at the barrier;
     ``label`` names the choke point that issued it (``"flush"``,
     ``"summary-guard"``, ``"segment-image"``, ...).
     """
 
-    position: int
+    positions: tuple[int, ...]
     epoch: int
     label: str
 
+    @property
+    def position(self) -> int:
+        """Writes journalled before the barrier, over all members."""
+        return sum(self.positions)
+
+
+class _MemberTap:
+    """Pass-through member disk that reports writes and barriers."""
+
+    def __init__(self, journal: "RecordingDisk", index: int, inner) -> None:
+        self.journal = journal
+        self.index = index
+        self.inner = inner
+
+    def write(self, lba: int, data: bytes) -> None:
+        self.journal._record(self.index, lba, data)
+
+    def barrier(self, label: str = "barrier") -> None:
+        self.inner.barrier(label)
+        self.journal._close_epoch(label)
+
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)
+
 
 class RecordingDisk:
-    """Pass-through disk wrapper that journals writes and barriers.
+    """Write journal over the members of a disk or a volume.
 
-    Reads, peeks, and time charging are delegated untouched, so an LD
-    running on a RecordingDisk behaves (and costs) exactly as it would on
-    the bare disk. Only :meth:`write` and :meth:`barrier` add journalling.
-
-    The wrapper snapshots the underlying sector store at construction, so
-    it can be installed over a disk that already has content; crash images
-    are materialized as base-snapshot + journalled writes.
+    Over a bare disk the recording *is* the disk the LD runs on: a
+    pass-through wrapper (``inner`` is the disk) whose :meth:`write` and
+    :meth:`barrier` journal. Over a volume the LD keeps running on the
+    volume; its members are wrapped in place. Each member's sector store
+    is snapshotted at construction, so crash images are materialized as
+    base snapshot + journalled writes.
     """
 
-    def __init__(self, inner: SimulatedDisk) -> None:
-        self.inner = inner
-        self.events: list[WriteEvent] = []
+    def __init__(self, target) -> None:
+        if isinstance(target, Volume):
+            if target.degraded:
+                raise ValueError("cannot start recording on a degraded volume")
+            self.volume: Volume | None = target
+            self.inner = None
+            self.members = list(target.disks)
+            for i, disk in enumerate(self.members):
+                target.disks[i] = _MemberTap(self, i, disk)
+        else:
+            self.volume = None
+            self.inner = target
+            self.members = [target]
+        #: One write journal per member.
+        self.journals: list[list[WriteEvent]] = [[] for _ in self.members]
         self.barriers: list[BarrierEvent] = []
-        self._epoch = 0
-        self._epoch_start = 0  # journal position where the open epoch began
-        # Base image: sectors present before recording started.
-        self._base: dict[int, bytes] = dict(inner._sectors)
+        self._pending = 0  # writes since the last barrier, over all members
+        self._bases = [dict(disk._sectors) for disk in self.members]
 
     # ------------------------------------------------------------------
     # Journalled operations
     # ------------------------------------------------------------------
 
-    def write(self, lba: int, data: bytes) -> None:
+    def _record(self, index: int, lba: int, data: bytes) -> None:
         data = bytes(data)
-        self.inner.write(lba, data)  # validates and charges time first
-        self.events.append(
-            WriteEvent(seq=len(self.events), epoch=self._epoch, lba=lba, data=data)
+        self.members[index].write(lba, data)  # validates and charges time first
+        journal = self.journals[index]
+        journal.append(WriteEvent(len(journal), len(self.barriers), lba, data))
+        self._pending += 1
+
+    def _close_epoch(self, label: str) -> None:
+        if not self._pending:
+            return  # no writes since the last barrier: epochs never go empty
+        self.barriers.append(
+            BarrierEvent(self.positions, len(self.barriers), label)
         )
+        self._pending = 0
+
+    def write(self, lba: int, data: bytes) -> None:
+        self._record(0, lba, data)
 
     def barrier(self, label: str = "barrier") -> None:
         self.inner.barrier(label)
-        if len(self.events) == self._epoch_start:
-            return  # no writes since the last barrier: epochs never go empty
-        self.barriers.append(
-            BarrierEvent(position=len(self.events), epoch=self._epoch, label=label)
-        )
-        self._epoch += 1
-        self._epoch_start = len(self.events)
+        self._close_epoch(label)
 
     # ------------------------------------------------------------------
     # Journal queries
     # ------------------------------------------------------------------
 
     @property
+    def events(self) -> list[WriteEvent]:
+        """The journal of a one-member recording."""
+        (journal,) = self.journals
+        return journal
+
+    @property
+    def positions(self) -> tuple[int, ...]:
+        """Each member's journal length."""
+        return tuple(len(journal) for journal in self.journals)
+
+    @property
     def position(self) -> int:
-        """Number of writes journalled so far (the oracle's clock)."""
-        return len(self.events)
+        """Writes journalled so far, over all members."""
+        return sum(self.positions)
+
+    @property
+    def epoch(self) -> int:
+        """Epochs closed so far: the durability oracle's clock."""
+        return len(self.barriers)
 
     @property
     def epoch_count(self) -> int:
         """Closed epochs plus the open one (when it has writes)."""
-        closed = self._epoch
-        return closed + (1 if len(self.events) > self._epoch_start else 0)
-
-    def epoch_bounds(self) -> list[tuple[int, int]]:
-        """``[start, end)`` journal positions of every epoch, in order."""
-        bounds: list[tuple[int, int]] = []
-        start = 0
-        for barrier in self.barriers:
-            bounds.append((start, barrier.position))
-            start = barrier.position
-        if start < len(self.events):
-            bounds.append((start, len(self.events)))
-        return bounds
-
-    def base_image(self) -> dict[int, bytes]:
-        """Copy of the pre-recording sector contents."""
-        return dict(self._base)
+        return len(self.barriers) + (1 if self._pending else 0)
 
     # ------------------------------------------------------------------
-    # Transparent delegation
+    # Crash images
+    # ------------------------------------------------------------------
+
+    def materialize(self, state) -> SimulatedDisk | Volume:
+        """Build a crash state's image on fresh disks (fresh clocks, zero stats).
+
+        Each member gets its base snapshot plus the sector prefixes its
+        plan names. A one-member recording yields a disk; a volume's
+        yields a volume of the same layout over the member images.
+        """
+        disks = []
+        for disk, base, journal, plan in zip(
+            self.members, self._bases, self.journals, state.plans
+        ):
+            image = SimulatedDisk(disk.geometry, VirtualClock())
+            for lba, data in base.items():
+                image.install(lba, data)
+            sector = image.geometry.sector_size
+            for seq, applied in plan:
+                event = journal[seq]
+                image.install(event.lba, event.data[: applied * sector])
+            disks.append(image)
+        if self.volume is None:
+            return disks[0]
+        return Volume(
+            disks,
+            VirtualClock(),
+            layout=self.volume.layout,
+            chunk_sectors=self.volume.chunk_sectors,
+        )
+
+    # ------------------------------------------------------------------
+    # Transparent delegation (one-member recordings)
     # ------------------------------------------------------------------
 
     def __getattr__(self, name: str):
         # geometry, clock, stats, read, peek, install, corrupt,
         # sectors_populated, ... — everything else is the inner disk's.
-        return getattr(self.inner, name)
+        inner = self.__dict__.get("inner")
+        if inner is None:
+            raise AttributeError(name)
+        return getattr(inner, name)
 
     def __repr__(self) -> str:
         return (
-            f"RecordingDisk({len(self.events)} writes, "
-            f"{len(self.barriers)} barriers, epoch={self._epoch})"
+            f"RecordingDisk({len(self.members)} member(s), "
+            f"{self.position} writes, {len(self.barriers)} barriers)"
         )

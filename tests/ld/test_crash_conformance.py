@@ -68,7 +68,7 @@ FACTORIES = {
 def run_append_only_workload(ld, recording, n_blocks=10):
     """Create and write blocks once each, acknowledging every operation.
 
-    Returns the acknowledgement snapshots: ``(journal position,
+    Returns the acknowledgement snapshots: ``(journal epoch,
     {bid: content})`` pairs, newest last.
     """
     snapshots = []
@@ -76,7 +76,7 @@ def run_append_only_workload(ld, recording, n_blocks=10):
     def ack():
         ld.flush()
         recording.barrier("ack")
-        snapshots.append((recording.position, dict(expected)))
+        snapshots.append((recording.epoch, dict(expected)))
 
     expected = {}
     lid = ld.new_list()
@@ -114,12 +114,11 @@ def test_crash_conformance(name):
     assert recording.position >= 10, "workload must generate disk writes"
     universe = sorted(snapshots[-1][1])
 
-    enum = CrashStateEnumerator(recording)
-    states = enum.enumerate()
+    states = CrashStateEnumerator(recording).enumerate()
     assert len(states) > 20
     failures = []
     for state in states:
-        image = enum.materialize(state)
+        image = recording.materialize(state)
         try:
             recovered = factory(image)
         except Exception as exc:  # noqa: BLE001 - any escape is the bug
@@ -127,11 +126,11 @@ def test_crash_conformance(name):
             continue
         view = recovered_blocks(recovered, universe)
         latest = -1
-        for j, (seq, _blocks) in enumerate(snapshots):
-            if seq <= state.covered_seq:
+        for j, (epoch, _blocks) in enumerate(snapshots):
+            if epoch <= state.covered_epochs:
                 latest = j
         candidates = snapshots[max(latest, 0) :]
-        if not any(view == blocks for _seq, blocks in candidates):
+        if not any(view == blocks for _epoch, blocks in candidates):
             if latest < 0 and not view:
                 continue  # pre-first-ack crash recovering to nothing
             failures.append(
@@ -150,11 +149,7 @@ def test_acknowledged_blocks_survive_full_image(name):
     ld = factory(recording)
     snapshots = run_append_only_workload(ld, recording)
     final = snapshots[-1][1]
-    enum = CrashStateEnumerator(recording)
-    full = next(
-        s
-        for s in enum.enumerate()
-        if s.kind == "prefix" and s.covered_seq == recording.position
-    )
-    recovered = factory(enum.materialize(full))
+    # Prefixes come first: state i is the cut after i writes.
+    full = CrashStateEnumerator(recording).enumerate()[recording.position]
+    recovered = factory(recording.materialize(full))
     assert recovered_blocks(recovered, sorted(final)) == final

@@ -20,6 +20,7 @@ from repro.crashsim import (
     RecordingDisk,
     run_matrix_workload,
 )
+from repro.crashsim.explorer import torn_splits
 from repro.disk import SimulatedDisk, fast_test_disk
 from repro.lld import LLD
 from repro.sim import VirtualClock
@@ -41,6 +42,20 @@ def small_workload(driver):
     return run_matrix_workload(
         driver, n_small=6, n_overwrites=2, generations=2, n_fill=8
     )
+
+
+@pytest.fixture
+def ack_positions(monkeypatch):
+    """Journal position at every acknowledgement snapshot, in order."""
+    positions = []
+    snapshot = OracleDriver._snapshot
+
+    def recording_snapshot(driver, label):
+        positions.append(driver.recording.position)
+        snapshot(driver, label)
+
+    monkeypatch.setattr(OracleDriver, "_snapshot", recording_snapshot)
+    return positions
 
 
 # ----------------------------------------------------------------------
@@ -71,8 +86,8 @@ class TestRecordingDisk:
         recording.barrier("real")
         recording.barrier("idle-again")
         assert len(recording.barriers) == 1
+        assert recording.barriers[0].positions == (1,)
         assert recording.epoch_count == 1
-        assert recording.epoch_bounds() == [(0, 1)]
 
     def test_writes_pass_through_and_reads_do_not_journal(self):
         disk = SimulatedDisk(fast_test_disk(capacity_mb=4), VirtualClock())
@@ -91,10 +106,12 @@ class TestRecordingDisk:
         disk.write(3, b"pre" + b"\x00" * 509)
         recording = RecordingDisk(disk)
         recording.write(7, b"post" + b"\x00" * 508)
-        base = recording.base_image()
-        assert 3 in base and 7 not in base
+        # The empty prefix (state 0) is the pre-recording image.
+        image = recording.materialize(CrashStateEnumerator(recording).enumerate()[0])
+        assert image.peek(3, 1) == disk.peek(3, 1)
+        assert image.peek(7, 1) == b"\x00" * 512
 
-    def test_lld_barriers_land_at_choke_points(self):
+    def test_lld_barriers_land_at_choke_points(self, ack_positions):
         lld, recording, driver = recorded_lld(torn_write_protection=True)
         small_workload(driver)
         labels = {b.label for b in recording.barriers}
@@ -104,10 +121,12 @@ class TestRecordingDisk:
         # barrier (segment-image) already closed, so RecordingDisk
         # coalesces it away — but the disk still counted every announce.
         assert recording.stats.barriers >= len(recording.barriers)
-        # Every acknowledgement must sit on an epoch boundary: the oracle
-        # snapshot positions coincide with recorded barrier positions.
+        # Every acknowledgement must sit on an epoch boundary, so the
+        # oracle's epoch clock loses nothing: ack positions coincide with
+        # recorded barrier positions.
         boundary_positions = {b.position for b in recording.barriers}
-        assert all(p.seq in boundary_positions for p in driver.oracle.points)
+        assert len(ack_positions) == len(driver.oracle.points)
+        assert all(p in boundary_positions for p in ack_positions)
 
 
 # ----------------------------------------------------------------------
@@ -142,18 +161,20 @@ class TestEnumerator:
     def test_plans_are_distinct(self):
         _disk, recording = self.build()
         states = CrashStateEnumerator(recording).enumerate()
-        assert len({s.plan for s in states}) == len(states)
+        assert len({s.plans for s in states}) == len(states)
+
+    def test_covered_epochs_count_fully_applied_epochs(self):
+        _disk, recording = self.build()
+        states = CrashStateEnumerator(recording).enumerate()
+        # Prefixes come first: state i is the cut after i writes.
+        assert [s.covered_epochs for s in states[:6]] == [0, 0, 1, 1, 1, 2]
+        torn = next(s for s in states if s.kind == "torn")
+        assert torn.covered_epochs == 0  # the torn write is in epoch 0
 
     def test_full_prefix_reproduces_the_live_disk(self):
         disk, recording = self.build()
-        enum = CrashStateEnumerator(recording)
-        states = enum.enumerate()
-        full = next(
-            s
-            for s in states
-            if s.kind == "prefix" and s.covered_seq == len(recording.events)
-        )
-        image = enum.materialize(full)
+        full = CrashStateEnumerator(recording).enumerate()[len(recording.events)]
+        image = recording.materialize(full)
         for lba in (0, 8, 9, 10, 11, 16, 24, 32):
             assert image.peek(lba, 1) == disk.peek(lba, 1)
 
@@ -162,7 +183,7 @@ class TestEnumerator:
         enum = CrashStateEnumerator(recording)
         torn = [s for s in states_of_kind(enum, "torn") if s.detail == "w1+2/4"]
         assert len(torn) == 1
-        image = enum.materialize(torn[0])
+        image = recording.materialize(torn[0])
         assert image.peek(8, 2) == b"b" * 1024  # first two sectors landed
         assert image.peek(10, 2) == b"\x00" * 1024  # rest did not
 
@@ -172,9 +193,7 @@ class TestEnumerator:
         assert len(states) == 4
 
     def test_torn_split_sampling_keeps_boundaries(self):
-        enum = CrashStateEnumerator.__new__(CrashStateEnumerator)
-        enum.max_torn_splits_per_write = 4
-        splits = enum._torn_splits(128)
+        splits = torn_splits(128, 4)
         assert len(splits) == 4
         assert splits[0] == 1 and splits[-1] == 127
 
@@ -216,11 +235,11 @@ class TestInvariants:
         small_workload(driver)
         points = driver.oracle.points
         assert len(points) > 10
-        assert all(a.seq <= b.seq for a, b in zip(points, points[1:]))
-        assert points[-1].seq == recording.position
+        assert all(a.epoch <= b.epoch for a, b in zip(points, points[1:]))
+        assert points[-1].epoch == recording.epoch
         # Suffix-match indexing: a crash covering everything honours the
         # final snapshot; one covering nothing honours none.
-        assert driver.oracle.latest_covered_index(recording.position) == len(points) - 1
+        assert driver.oracle.latest_covered_index(recording.epoch) == len(points) - 1
         assert driver.oracle.latest_covered_index(0) == -1
 
 

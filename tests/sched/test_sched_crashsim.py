@@ -6,14 +6,17 @@ tenant sessions drive one LLD through an :class:`~repro.sched.LDServer`
 interleaved ARUs, an aborted ARU), a :class:`RecordingDisk` journals
 every sector write, and every enumerated crash image must recover to
 *some* acknowledged global snapshot — queueing and group commit must not
-open any new crash window.
+open any new crash window. The two tenants' oracle drivers share one
+mirror, so one tenant's group commit acknowledges the other's writes.
 """
+
+import pytest
 
 from repro.bench import make_scheduler
 from repro.crashsim import (
     CrashStateEnumerator,
     LLDCrashChecker,
-    MultiTenantOracleDriver,
+    OracleDriver,
     RecordingDisk,
     run_multitenant_matrix_workload,
 )
@@ -41,18 +44,31 @@ def explore(scheduler_name: str, group_commit: int, **workload_kw):
     server, lld, recording = recorded_server(
         scheduler_name, group_commit=group_commit
     )
-    a = server.open_session("a")
-    b = server.open_session("b")
-    driver = MultiTenantOracleDriver(server, recording)
-    run_multitenant_matrix_workload(driver, a, b, **workload_kw)
+    a = OracleDriver(server.open_session("a"), recording)
+    b = a.client(server.open_session("b"))
+    run_multitenant_matrix_workload(a, b, **workload_kw)
     enum = CrashStateEnumerator(recording)
-    checker = LLDCrashChecker(lld.config, driver.oracle)
-    return enum.explore(checker), driver, recording
+    checker = LLDCrashChecker(lld.config, a.oracle)
+    return enum.explore(checker), server, a.oracle, recording
+
+
+@pytest.fixture
+def ack_positions(monkeypatch):
+    """Journal position at every acknowledgement snapshot, in order."""
+    positions = []
+    snapshot = OracleDriver._snapshot
+
+    def recording_snapshot(driver, label):
+        positions.append(driver.recording.position)
+        snapshot(driver, label)
+
+    monkeypatch.setattr(OracleDriver, "_snapshot", recording_snapshot)
+    return positions
 
 
 class TestSchedulerCrashMatrix:
     def test_qos_with_group_commit_has_no_violations(self):
-        report, driver, _recording = explore("qos", group_commit=2)
+        report, server, _oracle, _recording = explore("qos", group_commit=2)
         assert report.states_total > 100
         assert report.states_by_kind.get("prefix", 0) > 0
         assert report.states_by_kind.get("torn", 0) > 0
@@ -60,20 +76,19 @@ class TestSchedulerCrashMatrix:
         assert report.violations == []
         # The group commit actually deferred intents (the workload's
         # pooled rounds), so the zero-violation run exercised it.
-        assert driver.server.stats.flushes_deferred > 0
-        assert driver.server.stats.group_commits > 0
+        assert server.stats.flushes_deferred > 0
+        assert server.stats.group_commits > 0
 
     def test_fifo_baseline_has_no_violations(self):
-        report, _driver, _recording = explore(
+        report, _server, _oracle, _recording = explore(
             "fifo", group_commit=1, n_small=3, generations=2, n_fill=4
         )
         assert report.states_total > 50
         assert report.violations == []
 
-    def test_acks_land_on_barrier_positions(self):
-        _report, driver, recording = explore("qos", group_commit=2)
+    def test_acks_land_on_barrier_positions(self, ack_positions):
+        _report, _server, oracle, recording = explore("qos", group_commit=2)
         boundary_positions = {b.position for b in recording.barriers}
-        assert len(driver.oracle.points) > 10
-        assert all(
-            p.seq in boundary_positions for p in driver.oracle.points
-        )
+        assert len(oracle.points) > 10
+        assert len(ack_positions) == len(oracle.points)
+        assert all(p in boundary_positions for p in ack_positions)

@@ -1,11 +1,11 @@
 """LDStore group commit now routes through the scheduler.
 
-``LDStore(flush_batch=N)`` used to count syncs in the store; it now
-wraps a bare LD in a solo :class:`~repro.sched.LDServer` and maps each
-sync onto a deferrable flush intent. These tests pin the equivalence:
-the scheduler-routed path produces byte-identical LLD/disk figures to
-the deprecated in-store counting at every batch size, on the exact
-workload group commit exists for (many small fsyncs).
+``LDStore(flush_batch=N)`` wraps a bare LD in a solo
+:class:`~repro.sched.LDServer` and maps each sync onto a deferrable flush
+intent. These tests pin the equivalence: the scheduler-routed path
+produces byte-identical LLD/disk figures to a reference store that counts
+syncs itself, at every batch size, on the exact workload group commit
+exists for (many small fsyncs).
 """
 
 import pytest
@@ -26,8 +26,31 @@ def fresh_lld(capacity_mb: int = 8) -> LLD:
     return lld
 
 
-def build_fs(backend, flush_batch: int = 1, **store_kw) -> MinixFS:
-    store = LDStore(
+class CountingStore(LDStore):
+    """Reference arm: group commit counted in the store.
+
+    Deferred syncs only move dirty buffers into the LD; every
+    ``batch``-th sync issues the physical flush through ``barrier()``.
+    """
+
+    def __init__(self, ld, batch: int, **store_kw) -> None:
+        super().__init__(ld, **store_kw)
+        self.batch = batch
+        self.pending = 0
+
+    def sync(self) -> None:
+        self.stats.syncs += 1
+        self.cache.flush(ordered=False)
+        self.pending += 1
+        if self.pending < self.batch:
+            self.stats.syncs_deferred += 1
+        else:
+            self.pending = 0
+            self.barrier()
+
+
+def build_fs(backend, flush_batch: int = 1, store_cls=LDStore, **store_kw) -> MinixFS:
+    store = store_cls(
         backend, cache_bytes=256 * 1024, flush_batch=flush_batch, **store_kw
     )
     fs = MinixFS(store, readahead=False)
@@ -50,13 +73,9 @@ def lld_figures(lld):
     return payload, lld.disk.stats.as_dict()
 
 
-def arm_legacy(flush_batch):
+def arm_counting(flush_batch):
     lld = fresh_lld()
-    if flush_batch > 1:
-        with pytest.warns(DeprecationWarning):
-            fs = build_fs(lld, flush_batch, legacy_group_commit=True)
-    else:
-        fs = build_fs(lld, flush_batch)
+    fs = build_fs(lld, store_cls=CountingStore, batch=flush_batch)
     fsync_workload(fs)
     return fs, lld
 
@@ -82,7 +101,7 @@ def arm_explicit_server(flush_batch):
 
 @pytest.mark.parametrize("flush_batch", [1, 4, 16])
 def test_scheduler_group_commit_matches_legacy_figures(flush_batch):
-    fs_old, lld_old = arm_legacy(flush_batch)
+    fs_old, lld_old = arm_counting(flush_batch)
     fs_new, lld_new = arm_autowrap(flush_batch)
     fs_srv, lld_srv = arm_explicit_server(flush_batch)
     assert lld_figures(lld_new) == lld_figures(lld_old)
@@ -108,12 +127,6 @@ def test_flush_batch_on_a_session_backed_store_is_rejected():
     session = server.open_session("fs")
     with pytest.raises(ValueError, match="group_commit"):
         LDStore(session, flush_batch=2)
-
-
-def test_legacy_path_warns():
-    lld = fresh_lld()
-    with pytest.warns(DeprecationWarning, match="legacy_group_commit"):
-        LDStore(lld, flush_batch=4, legacy_group_commit=True)
 
 
 def test_deferred_syncs_commit_on_the_batch_boundary():

@@ -10,9 +10,9 @@ import os
 import pytest
 
 from repro.crashsim import (
-    MirrorRecording,
+    CrashStateEnumerator,
     OracleDriver,
-    degraded_mirror_volume,
+    RecordingDisk,
     explore_degraded_mirror,
     run_matrix_workload,
 )
@@ -122,7 +122,7 @@ def test_mid_run_member_failure_preserves_acked_data():
 def test_lld_mounts_and_recovers_from_single_survivor():
     """Acked LLD writes survive mounting from either member alone."""
     volume = make_mirror(2)
-    recording = MirrorRecording(volume)
+    recording = RecordingDisk(volume)
     config = LLDConfig(**CONFIG)
     lld = LLD(volume, config)
     lld.initialize()
@@ -130,17 +130,16 @@ def test_lld_mounts_and_recovers_from_single_survivor():
     handles = run_matrix_workload(
         driver, n_small=8, n_overwrites=2, generations=2, n_fill=8
     )
-    recording.assert_isomorphic()
     final = driver.oracle.points[-1]
+    # Prefixes come first: the state after every journalled write is the
+    # full run, materialized as a fresh mirror.
+    full = CrashStateEnumerator(recording).enumerate()[len(recording.journals[0])]
 
     for survivor in (0, 1):
-        # Clone the survivor's full current image onto a fresh disk, then
-        # mount it as a degraded mirror: the "other disk is gone" mount.
-        member = recording.members[survivor]
-        image = SimulatedDisk(member.geometry, VirtualClock())
-        for lba, data in member.inner._sectors.items():
-            image.install(lba, data)
-        degraded = degraded_mirror_volume(image, 2, survivor)
+        # Mount the full image with the other member failed: the "other
+        # disk is gone" mount.
+        degraded = recording.materialize(full)
+        degraded.fail_member(1 - survivor)
         lld2 = LLD(degraded, config)
         lld2.initialize()
         for bid, expected in final.blocks.items():
@@ -153,7 +152,7 @@ def test_lld_mounts_and_recovers_from_single_survivor():
 def test_explore_degraded_mirror_zero_violations_small():
     """Crash-state sweep of one member, recovered degraded: no violations."""
     volume = make_mirror(2)
-    recording = MirrorRecording(volume)
+    recording = RecordingDisk(volume)
     config = LLDConfig(**CONFIG)
     lld = LLD(volume, config)
     lld.initialize()
@@ -170,11 +169,17 @@ def test_explore_degraded_mirror_zero_violations_small():
     assert report.violations == []
 
 
-def test_mirror_recording_rejects_stripes_and_degraded():
+def test_recording_rejects_degraded_volumes_and_cuts_stripes():
+    """Recording starts on a whole volume; stripes get epoch cuts, not
+    the per-write states that need isomorphic mirror journals."""
     stripe = make_stripe(2)
-    with pytest.raises(ValueError, match="mirror"):
-        MirrorRecording(stripe)
+    recording = RecordingDisk(stripe)
+    stripe.write(0, b"s" * 512 * 16)  # one chunk on each member
+    stripe.barrier()
+    assert recording.barriers[0].positions == (1, 1)
+    kinds = {s.kind for s in CrashStateEnumerator(recording).enumerate()}
+    assert kinds == {"cut", "torn", "subset"}
     mirror = make_mirror(2)
     mirror.fail_member(0)
     with pytest.raises(ValueError, match="degraded"):
-        MirrorRecording(mirror)
+        RecordingDisk(mirror)
